@@ -1757,21 +1757,18 @@ let () =
     | _ -> ()
   in
   let read_file = Bor_isa.Toolchain.read_file in
-  (* --jobs: run experiments through the serve library's domain pool
-     (the ad-hoc worker loop this file used to carry is gone). A
+  (* --jobs: run experiments as job units of the one executor. A
      worker buffers its experiment's output in its domain-local
-     context; Pool.map lands each buffer in its submission-order slot,
-     so replaying after the join can never interleave worker output.
-     Caches are reset before every pooled experiment so each
-     BENCH_<name>.json is identical to running that experiment alone —
-     the guarantee the fork-based pool this replaced got from one
-     process per experiment. *)
+     context; Executor.map lands each buffer in its submission-order
+     slot, so replaying after the join can never interleave worker
+     output. Caches are reset before every pooled experiment so each
+     BENCH_<name>.json is identical to running that experiment alone. *)
   let run_parallel n =
     let failed = Atomic.make false in
     let telemetry_on = !json_dir <> None in
     flush stdout;
     let outputs =
-      Bor_serve.Pool.map ~domains:n
+      Bor_exec.Executor.map ~workers:n
         ~init:(fun () ->
           (* Fresh domain, fresh domain-local telemetry registry:
              mirror the enable flag before any simulator component

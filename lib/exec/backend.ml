@@ -133,10 +133,9 @@ let resume ?config ?max_cycles ck prog =
 
 let names = [ "functional"; "detailed"; "warming"; "sampled" ]
 
-let of_name ?config ?plan ?domains ?rank_bands ?ci_target ?runner name prog =
+let of_name ?config ?plan ?rank_bands ?ci_target ?runner name prog =
   match name with
-  | "sampled" ->
-    Ok (sampled ?config ?plan ?domains ?rank_bands ?ci_target ?runner prog)
+  | "sampled" -> Ok (sampled ?config ?plan ?rank_bands ?ci_target ?runner prog)
   | _ when Option.is_some runner ->
     Error
       (Printf.sprintf

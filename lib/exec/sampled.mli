@@ -1,5 +1,5 @@
 (** SMARTS-style sampled simulation over checkpointed windows,
-    optionally parallel across OCaml 5 domains.
+    optionally parallel across OCaml 5 domains ({!Executor}).
 
     One pipeline — the {e sweep} — executes the whole program under
     functional warming. At each period's window boundary it emits a
@@ -7,8 +7,8 @@
     created pipeline seeded from its checkpoint and discarded
     afterwards. A window is therefore a pure function of its
     checkpoint, so the windows can execute in any order on any number
-    of domains: CPI samples are reassembled in window order, per-domain
-    telemetry registries are merged in window order, and the results —
+    of domains: CPI samples are reassembled in window order, per-window
+    telemetry deltas are merged in window order, and the results —
     CPI, confidence interval, telemetry totals — are identical at every
     domain count, including [domains = 1] (which runs the same
     capture/restore path inline).
@@ -35,8 +35,8 @@
 type window_entry = {
   e_result : (Bor_uarch.Pipeline.window_result, string) result;
   e_tel : Bor_telemetry.Telemetry.export option;
-      (** the window's telemetry delta, shipped home by whichever
-          thread/domain executed it; [None] when the window ran
+      (** the window's telemetry delta, recorded in a private registry
+          by whichever thread executed it; [None] when the window ran
           inline on the job's own registry *)
 }
 (** One delivered window result: what {!exec_ctx.xc_deliver} accepts. *)
@@ -61,7 +61,8 @@ type exec_ctx = {
           [e_tel] is absorbed verbatim by every job that receives it *)
   xc_stopped : unit -> bool;
       (** the job's advisory stop flag: true once the online stopping
-          rule fired. Already-dispatched windows must still be
+          rule fired or a window was delivered as an [Error] (the merge
+          never reads past it). Already-dispatched windows must still be
           delivered (overrun is discarded at merge, so execution order
           cannot change the payload), but a scheduler may deprioritize
           them in favor of live jobs *)
@@ -86,10 +87,37 @@ type runner = {
       (** block until every dispatched window has been delivered;
           called once, after the sweep (also when the sweep failed) *)
 }
-(** How {!run_on} executes detailed windows. The built-in runners
-    (inline at [domains = 1], a round-robin domain pool otherwise)
-    reproduce the historical behavior byte for byte; the serve global
-    window queue provides an external one ([Bor_serve.Wqueue]). *)
+(** How {!run_on} executes detailed windows: {!builtin_runner} unless
+    the caller passes its own, such as the serve global window queue
+    ([Bor_serve.Wqueue]). Every runner delivers the same entries, so
+    the results are byte-identical whichever one ran. *)
+
+val queue : ?workers:int -> unit -> window_entry Executor.t
+(** An {!Executor} of window entries with [workers] (default 0) worker
+    domains: a window unit that raises completes with an [Error] entry,
+    and no [Error] entry is retained for sharing. *)
+
+val queue_runner :
+  window_entry Executor.t ->
+  owner:string ->
+  key:(index:int -> boundary:int -> Checkpoint.t -> string) ->
+  exec_ctx ->
+  runner
+(** Windows as units of [q] owned by [owner] and named by [key]: two
+    dispatches with the same key, from this run or another owner's,
+    execute once. Each unit runs against a private telemetry registry
+    whose export rides in its entry's [e_tel]; [r_drain] is
+    {!Executor.drain}. *)
+
+val builtin_runner : domains:int -> exec_ctx -> runner
+(** What {!run_on} uses without [?runner]: at [domains <= 1] each
+    window runs inline in the sweep's thread, on the job's own
+    registry; otherwise a private {!queue} with [domains] workers,
+    keyed by window index (nothing to share), whose [r_drain] also
+    joins the workers. A window that raises is delivered as the same
+    [Error] entry either way: sanitizer violations, oracle faults and
+    memory faults read as a failing sweep's would, anything else as
+    ["window execution failed: <exn>"]. *)
 
 type stats = {
   sp_windows : int;  (** detailed windows that produced a CPI sample *)
@@ -131,20 +159,18 @@ val run_on :
 
     Registers the [sampling.*] telemetry counters — only in sampled
     runs, never in full-detail ones — plus [sampling.rank.*] when
-    [rank_bands > 1], [sampling.stop.*] when [ci_target > 0] (both
-    deterministic at any domain count), and the [sampling.parallel.*]
-    family when (and only when) [domains > 1]. Never raises; simulator
-    errors, sanitizer violations and oracle faults from the sweep or
-    any window come back as [Error] (first window in window order
-    wins).
+    [rank_bands > 1] and [sampling.stop.*] when [ci_target > 0]. The
+    whole telemetry export is identical at every domain count.
+    Simulator errors, sanitizer violations and oracle faults from the
+    sweep or any window come back as [Error] (a sweep error first, then
+    the first failing window in window order).
 
     [runner] swaps in an external window executor (built from the
     {!exec_ctx} handed to the factory); when given, [domains] is
-    ignored — worker provisioning is the runner's business — and the
-    [sampling.parallel.*] family is not registered. Results and every
-    other telemetry counter remain byte-identical to the built-in
-    runners: entries are merged strictly in window order, with each
-    entry's [e_tel] export absorbed at its in-order merge point. *)
+    ignored — worker provisioning is the runner's business. Results
+    and telemetry remain byte-identical to the built-in runners:
+    entries are merged strictly in window order, with each entry's
+    [e_tel] export absorbed at its in-order merge point. *)
 
 val run :
   ?max_cycles:int ->

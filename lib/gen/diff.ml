@@ -3,6 +3,7 @@ module Pipeline = Bor_uarch.Pipeline
 module Backend = Bor_exec.Backend
 module Sampled = Bor_exec.Sampled
 module Wqueue = Bor_serve.Wqueue
+module Executor = Bor_exec.Executor
 module Check = Bor_check.Check
 module Program = Bor_isa.Program
 module Reg = Bor_isa.Reg
@@ -140,87 +141,23 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
       | Ok p -> p
       | Error e -> fail "plan" "%s" e
     in
-    let sampled = Backend.sampled ~config ~plan ~max_cycles ~domains:1 prog in
-    let seq_stats =
-      match leg "sampled" sampled with
-      | Backend.Sampled s -> s
-      | _ -> fail "sampled" "unexpected report kind"
-    in
-    against "sampled" (snapshot prog (sampled.Backend.machine ()));
-    (* Fifth leg: the same sampled run with detailed windows spread
-       over worker domains (count varied by the seed) must reproduce
-       the sequential leg bit for bit — same final architectural state
-       and the same sampled statistics, CPI and CI included. *)
-    let domains = 2 + (abs plan_seed mod 3) in
-    let par = Backend.sampled ~config ~plan ~max_cycles ~domains prog in
-    let par_stats =
-      match leg "parallel-sampled" par with
-      | Backend.Sampled s -> s
-      | _ -> fail "parallel-sampled" "unexpected report kind"
-    in
-    against "parallel-sampled" (snapshot prog (par.Backend.machine ()));
-    if par_stats <> seq_stats then
-      fail "parallel-sampled"
-        "stats diverge from sequential at %d domains: windows %d vs %d, CPI \
-         %.6f vs %.6f, CI %.6f vs %.6f, detailed cycles %d vs %d"
-        domains par_stats.Sampled.sp_windows seq_stats.Sampled.sp_windows
-        par_stats.Sampled.sp_cpi seq_stats.Sampled.sp_cpi
-        par_stats.Sampled.sp_cpi_ci95 seq_stats.Sampled.sp_cpi_ci95
-        par_stats.Sampled.sp_detailed_cycles seq_stats.Sampled.sp_detailed_cycles;
-    (* Sixth and seventh legs: ranked-set selection with CI stopping
-       turned on (bands and domain count varied by the seed). The
-       selected-window subset differs from the fixed-period set, so CPI
-       is not compared against the legs above — but the sweep still
-       warms to program end, so the final architectural state must
-       match the functional reference, the parallel run must reproduce
-       the sequential one bit for bit, and ranked selection can never
-       dispatch more detailed windows than the fixed-period leg did. *)
-    let rank_bands = 2 + (abs plan_seed mod 3) in
-    let ranked =
-      Backend.sampled ~config ~plan ~rank_bands ~ci_target:5. ~max_cycles
-        ~domains:1 prog
-    in
-    let ranked_stats =
-      match leg "ranked" ranked with
-      | Backend.Sampled s -> s
-      | _ -> fail "ranked" "unexpected report kind"
-    in
-    against "ranked" (snapshot prog (ranked.Backend.machine ()));
-    if ranked_stats.Sampled.sp_windows > seq_stats.Sampled.sp_windows then
-      fail "ranked"
-        "ranked-set selection dispatched more windows than fixed-period: %d \
-         vs %d (bands %d)"
-        ranked_stats.Sampled.sp_windows seq_stats.Sampled.sp_windows rank_bands;
-    let ranked_par =
-      Backend.sampled ~config ~plan ~rank_bands ~ci_target:5. ~max_cycles
-        ~domains prog
-    in
-    let ranked_par_stats =
-      match leg "parallel-ranked" ranked_par with
-      | Backend.Sampled s -> s
-      | _ -> fail "parallel-ranked" "unexpected report kind"
-    in
-    against "parallel-ranked" (snapshot prog (ranked_par.Backend.machine ()));
-    if ranked_par_stats <> ranked_stats then
-      fail "parallel-ranked"
-        "ranked stats diverge from sequential at %d domains (bands %d): \
-         windows %d vs %d, CPI %.6f vs %.6f, stopped %b vs %b"
-        domains rank_bands ranked_par_stats.Sampled.sp_windows
-        ranked_stats.Sampled.sp_windows ranked_par_stats.Sampled.sp_cpi
-        ranked_stats.Sampled.sp_cpi ranked_par_stats.Sampled.sp_stopped
-        ranked_stats.Sampled.sp_stopped;
-    (* Eighth and ninth legs: the serve-layer global window queue. The
-       same sampled run routed through a standalone Wqueue (zero pool
-       workers — the drain help-executes everything) must reproduce the
-       sequential leg bit for bit; a second job with the same program
-       prefix on the same queue must also reproduce it while executing
-       nothing new: every one of its windows is answered by job A's
-       finished work units (cross-job shard sharing). *)
-    let wq = Wqueue.create () in
-    let wq_leg stage job =
+    (* Every sampled leg is one run under one window executor: inline,
+       a private queue of worker domains (count varied by the seed), or
+       the serve-layer global window queue shared with another job.
+       Each must reach the functional reference's final state; a leg
+       given the [reference] statistics of its inline twin must also
+       reproduce them (CPI, CI and stop decision included) bit for bit. *)
+    let sampled_leg ?(rank_bands = 1) ?ci_target ?reference stage executor =
+      let domains, runner, where =
+        match executor with
+        | `Inline -> (1, None, "inline")
+        | `Workers n -> (n, None, Printf.sprintf "%d domains" n)
+        | `Shared (wq, job) ->
+          (1, Some (Wqueue.runner wq ~job ~config), "the shared queue")
+      in
       let b =
-        Backend.sampled ~config ~plan ~max_cycles
-          ~runner:(Wqueue.runner wq ~job ~config) prog
+        Backend.sampled ~config ~plan ~rank_bands ?ci_target ~max_cycles
+          ~domains ?runner prog
       in
       let st =
         match leg stage b with
@@ -228,26 +165,58 @@ let run ?(max_steps = 2_000_000) ?(max_cycles = 20_000_000) ?(plan_seed = 0)
         | _ -> fail stage "unexpected report kind"
       in
       against stage (snapshot prog (b.Backend.machine ()));
-      if st <> seq_stats then
+      (match reference with
+      | Some (r : Sampled.stats) when st <> r ->
         fail stage
-          "stats diverge from sequential through the window queue: windows \
-           %d vs %d, CPI %.6f vs %.6f"
-          st.Sampled.sp_windows seq_stats.Sampled.sp_windows st.Sampled.sp_cpi
-          seq_stats.Sampled.sp_cpi
+          "stats on %s (bands %d) diverge from the inline leg: windows %d vs \
+           %d, CPI %.6f vs %.6f, CI %.6f vs %.6f, detailed cycles %d vs %d, \
+           stopped %b vs %b"
+          where rank_bands st.Sampled.sp_windows r.Sampled.sp_windows
+          st.Sampled.sp_cpi r.Sampled.sp_cpi st.Sampled.sp_cpi_ci95
+          r.Sampled.sp_cpi_ci95 st.Sampled.sp_detailed_cycles
+          r.Sampled.sp_detailed_cycles st.Sampled.sp_stopped
+          r.Sampled.sp_stopped
+      | _ -> ());
+      st
     in
-    wq_leg "wqueue" "job-a";
-    let executed_a = Wqueue.executed wq in
-    wq_leg "wqueue-shared" "job-b";
+    let workers = `Workers (2 + (abs plan_seed mod 3)) in
+    let seq_stats = sampled_leg "sampled" `Inline in
+    ignore (sampled_leg ~reference:seq_stats "parallel-sampled" workers);
+    (* Ranked-set selection with CI stopping (bands varied by the
+       seed). Its window subset differs from the fixed-period set, so
+       its CPI is compared only across executors — but ranking can never
+       dispatch more detailed windows than the fixed-period leg did. *)
+    let rank_bands = 2 + (abs plan_seed mod 3) in
+    let ranked_stats = sampled_leg ~rank_bands ~ci_target:5. "ranked" `Inline in
+    if ranked_stats.Sampled.sp_windows > seq_stats.Sampled.sp_windows then
+      fail "ranked"
+        "ranked-set selection dispatched more windows than fixed-period: %d \
+         vs %d (bands %d)"
+        ranked_stats.Sampled.sp_windows seq_stats.Sampled.sp_windows rank_bands;
+    ignore
+      (sampled_leg ~rank_bands ~ci_target:5. ~reference:ranked_stats
+         "parallel-ranked" workers);
+    (* The shared queue, with no workers (the drain help-executes
+       everything): job A reproduces the inline leg; job B, the same
+       program and plan on the same queue, reproduces it too while
+       executing nothing new — every one of its windows is answered by
+       job A's finished units. *)
+    let units = Sampled.queue () in
+    let wq = Wqueue.create ~queue:units () in
+    let shared job = `Shared (wq, job) in
+    ignore (sampled_leg ~reference:seq_stats "wqueue" (shared "job-a"));
+    let executed_a = Executor.executed units in
+    ignore (sampled_leg ~reference:seq_stats "wqueue-shared" (shared "job-b"));
     if seq_stats.Sampled.sp_windows > 0 then begin
-      if Wqueue.shared_hits wq = 0 then
+      if Executor.shared_hits units = 0 then
         fail "wqueue-shared"
           "no cross-job shared work units despite %d windows"
           seq_stats.Sampled.sp_windows;
-      if Wqueue.executed wq <> executed_a then
+      if Executor.executed units <> executed_a then
         fail "wqueue-shared"
           "second job re-executed shared windows: %d executions after job A \
            had %d"
-          (Wqueue.executed wq) executed_a
+          (Executor.executed units) executed_a
     end;
     Pass
   with

@@ -1,19 +1,18 @@
 (** The ten-way differential property as a library: run one program
     under the functional simulator, the full-detail pipeline, functional
     warming (twice — through the block translation cache and with the
-    cache forced off onto the single-step path), sequential sampled
-    simulation, domain-parallel sampled simulation (worker count
-    varied by the seed), sequential + parallel ranked-set sampled
-    simulation with CI stopping on (band count varied by the seed),
-    and two sampled legs routed through the serve-layer global window
-    queue ({!Bor_serve.Wqueue}) as distinct jobs — the second must be
-    answered entirely by the first's shared work units — and demand
-    identical
-    final architectural state (all registers, the whole data segment,
-    and the retirement statistics) — plus, for each parallel or
-    window-queue leg, sampled statistics identical to the sequential
-    leg's, CPI, CI and stop decision included, and for the ranked legs
-    a window budget no larger than fixed-period's. Every leg is driven
+    cache forced off onto the single-step path), and six sampled legs
+    that differ only in their window executor: fixed-period sampling
+    inline and on worker domains (count varied by the seed), ranked-set
+    sampling with CI stopping (band count varied by the seed) inline
+    and on worker domains, and two fixed-period jobs on one shared
+    serve window queue ({!Bor_serve.Wqueue}) — the second must be
+    answered entirely by the first's units. It demands identical final
+    architectural state (all registers, the whole data segment, and the
+    retirement statistics) — plus, for every non-inline leg, sampled
+    statistics identical to its inline leg's, CPI, CI and stop decision
+    included, and for the ranked legs a window budget no larger than
+    fixed-period's. Every leg is driven
     through {!Bor_exec.Backend}, the same surface the CLI and bench
     drivers use.
 
@@ -28,8 +27,8 @@ type failure = {
   stage : string;
       (** which engine/phase failed: ["pipeline"], ["warming"],
           ["warming-singlestep"], ["sampled"], ["parallel-sampled"],
-          ["ranked"], ["parallel-ranked"], ["plan"], or a comparison
-          stage *)
+          ["ranked"], ["parallel-ranked"], ["wqueue"],
+          ["wqueue-shared"], ["plan"], or a comparison stage *)
   reason : string;
 }
 

@@ -3,7 +3,7 @@ module Program = Bor_isa.Program
 module Gen = Bor_gen.Gen
 module Diff = Bor_gen.Diff
 module Corpus = Bor_gen.Corpus
-module Pool = Bor_serve.Pool
+module Executor = Bor_exec.Executor
 module Telemetry = Bor_telemetry.Telemetry
 module Json = Bor_telemetry.Json
 
@@ -213,7 +213,7 @@ let run ?progress params target =
         Array.init params.p_chains (fun _ -> Prng.next master)
       in
       let results =
-        Pool.map ~domains:params.p_domains
+        Executor.map ~workers:params.p_domains
           (fun seed ->
             run_chain eval params ~seed ~start:!best ~start_cost:!best_cost)
           seeds

@@ -1,4 +1,5 @@
 module Telemetry = Bor_telemetry.Telemetry
+module Executor = Bor_exec.Executor
 
 type disposition = [ `Queued | `Joined | `Hit ]
 type outcome = (string * [ `Cold | `Cached ], string) result
@@ -6,241 +7,165 @@ type state = Queued | Running | Done of outcome
 
 type entry = { e_spec : Job.spec; mutable e_state : state }
 
-(* Telemetry instruments mirror the atomics; they belong to the domain
-   that created the scheduler and are only touched there (submit/stats
-   run on that domain), never by workers — instruments must not cross
-   domains. Worker-side counts reach them as deltas via [sync]. *)
-type mirror = {
-  mutable m_completed : int;
-  mutable m_failed : int;
-  mutable m_hits : int;
-  mutable m_misses : int;
-  mutable m_w_dispatched : int;
-  mutable m_w_executed : int;
-  mutable m_w_shared : int;
-  mutable m_w_failed : int;
-  mutable m_sh_published : int;
-  mutable m_sh_present : int;
-}
-
 type t = {
   mu : Mutex.t;
-  cond : Condition.t;
+  cond : Condition.t;  (* a job finished *)
   jobs : (string, entry) Hashtbl.t;
-  queue : string Queue.t;
+  q : Bor_exec.Sampled.window_entry Executor.t;
   wq : Wqueue.t;
   mutable stopping : bool;
-  mutable workers : unit Domain.t option array;
   s_store : Bor_store.Store.t option;
   s_domains : int;
   (* submit-side counts (owner domain, under [mu]) *)
+  mutable n_queued : int;
   mutable n_submitted : int;
   mutable n_joins : int;
   mutable n_mem_hits : int;
   (* worker-side counts *)
-  a_completed : int Atomic.t;
   a_failed : int Atomic.t;
   a_cold : int Atomic.t;
   a_cached : int Atomic.t;
   a_busy : int Atomic.t;
   (* serve.* telemetry *)
   c_submitted : Telemetry.counter;
-  c_completed : Telemetry.counter;
-  c_failed : Telemetry.counter;
-  c_hits : Telemetry.counter;
-  c_misses : Telemetry.counter;
   c_joins : Telemetry.counter;
   h_queue_depth : Telemetry.histogram;
   h_busy : Telemetry.histogram;
-  (* serve.windows.* / serve.shards.* telemetry *)
-  c_w_dispatched : Telemetry.counter;
-  c_w_executed : Telemetry.counter;
-  c_w_shared : Telemetry.counter;
-  c_w_failed : Telemetry.counter;
-  c_sh_published : Telemetry.counter;
-  c_sh_present : Telemetry.counter;
-  mirror : mirror;
+  mirrors : (Telemetry.counter * (t -> int) * int ref) list;
+      (* counters that mirror a worker-side count: the instrument, how
+         to read the count, and how much of it was already added *)
 }
 
-(* A sampled job's windows go through the global queue instead of its
-   own domain fan-out; every other backend runs exactly as before.
-   [key] doubles as the queue's job id, so per-job in-flight gauges and
-   stop flags are addressable by the same hex the client polls. *)
+let completed t = Atomic.get t.a_cold + Atomic.get t.a_cached
+
+(* A sampled job's windows go through the global queue; every other
+   backend runs exactly as before. [key] doubles as the queue's owner
+   id, so per-job in-flight gauges and stop flags are addressable by
+   the same hex the client polls. *)
 let runner_for t ~key spec =
   if String.equal spec.Job.sp_backend "sampled" then
     Some (Wqueue.runner t.wq ~job:key ~config:spec.Job.sp_config)
   else None
 
-let rec worker_loop t =
+(* A job is a low-priority unit on the window queue's executor: workers
+   take it only when no window unit is queued, and a thread helping
+   with windows never takes it. *)
+let run_job t key entry () =
   Mutex.lock t.mu;
-  while
-    Queue.is_empty t.queue
-    && (not (Wqueue.pending_locked t.wq))
-    && not t.stopping
-  do
-    Condition.wait t.cond t.mu
-  done;
-  (* Window units take priority over queued jobs: finishing the jobs
-     already in flight beats widening the working set, and a unit's
-     waiters may include a client already blocked on [result wait]. *)
-  match Wqueue.steal_locked t.wq with
-  | Some h ->
-      Mutex.unlock t.mu;
-      Wqueue.execute t.wq h;
-      worker_loop t
-  | None ->
-      if Queue.is_empty t.queue then (* stopping, both queues drained *)
-        Mutex.unlock t.mu
-      else begin
-        let key = Queue.pop t.queue in
-        let entry = Hashtbl.find t.jobs key in
-        entry.e_state <- Running;
-        Atomic.incr t.a_busy;
-        Mutex.unlock t.mu;
-        let outcome =
-          Job.run ?store:t.s_store ?runner:(runner_for t ~key entry.e_spec)
-            entry.e_spec
-        in
-        (match outcome with
-        | Ok (_, `Cold) ->
-            Atomic.incr t.a_completed;
-            Atomic.incr t.a_cold
-        | Ok (_, `Cached) ->
-            Atomic.incr t.a_completed;
-            Atomic.incr t.a_cached
-        | Error _ -> Atomic.incr t.a_failed);
-        Atomic.decr t.a_busy;
-        Mutex.lock t.mu;
-        entry.e_state <- Done outcome;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mu;
-        worker_loop t
-      end
+  entry.e_state <- Running;
+  t.n_queued <- t.n_queued - 1;
+  Mutex.unlock t.mu;
+  Atomic.incr t.a_busy;
+  let outcome =
+    try
+      Job.run ?store:t.s_store ?runner:(runner_for t ~key entry.e_spec)
+        entry.e_spec
+    with e -> Error ("job failed: " ^ Printexc.to_string e)
+  in
+  Atomic.incr
+    (match outcome with
+    | Ok (_, `Cold) -> t.a_cold
+    | Ok (_, `Cached) -> t.a_cached
+    | Error _ -> t.a_failed);
+  Atomic.decr t.a_busy;
+  Mutex.lock t.mu;
+  entry.e_state <- Done outcome;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mu
 
 let create ?(domains = 1) ?store () =
   if domains < 1 then invalid_arg "Scheduler.create: domains must be >= 1";
+  let counter scope unit_ doc name = Telemetry.counter scope ~unit_ ~doc name in
+  let mirror scope unit_ doc name read =
+    (counter scope unit_ doc name, read, ref 0)
+  in
   let scope = Telemetry.scope "serve" in
   let wscope = Telemetry.scope "serve.windows" in
   let shscope = Telemetry.scope "serve.shards" in
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let t =
-    {
-      mu;
-      cond;
-      jobs = Hashtbl.create 64;
-      queue = Queue.create ();
-      (* The queue shares the scheduler's monitor, so one wait in
-         [worker_loop] covers "a job arrived or a window arrived". *)
-      wq =
-        Wqueue.create ~monitor:(mu, cond) ?store
-          ~inflight_cap:(max 4 (2 * domains))
-          ();
-      stopping = false;
-      workers = Array.make domains None;
-      s_store = store;
-      s_domains = domains;
-      n_submitted = 0;
-      n_joins = 0;
-      n_mem_hits = 0;
-      a_completed = Atomic.make 0;
-      a_failed = Atomic.make 0;
-      a_cold = Atomic.make 0;
-      a_cached = Atomic.make 0;
-      a_busy = Atomic.make 0;
-      c_submitted =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"submissions accepted (all dispositions)" "jobs.submitted";
-      c_completed =
-        Telemetry.counter scope ~unit_:"jobs" ~doc:"worker runs that returned Ok"
-          "jobs.completed";
-      c_failed =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"worker runs that returned an error" "jobs.failed";
-      c_hits =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"submissions answered without a fresh run (memory or store)"
-          "cache.hits";
-      c_misses =
-        Telemetry.counter scope ~unit_:"jobs" ~doc:"jobs computed cold"
-          "cache.misses";
-      c_joins =
-        Telemetry.counter scope ~unit_:"jobs"
-          ~doc:"submissions that joined an in-flight job" "dedup.joins";
-      h_queue_depth =
-        Telemetry.histogram scope ~unit_:"jobs"
-          ~doc:"queue depth observed at each submission" "queue.depth";
-      h_busy =
-        Telemetry.histogram scope ~unit_:"workers"
-          ~doc:"busy workers observed at each submission" "workers.busy";
-      c_w_dispatched =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"window work units dispatched into the global queue"
-          "dispatched";
-      c_w_executed =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"window work units executed (once each, however many jobs \
-                share them)"
-          "executed";
-      c_w_shared =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"dispatches answered by an existing work unit (cross-job \
-                shard sharing)"
-          "shared_shard_hits";
-      c_w_failed =
-        Telemetry.counter wscope ~unit_:"windows"
-          ~doc:"window executions that failed (fails the owning jobs only, \
-                never cached)"
-          "failed";
-      c_sh_published =
-        Telemetry.counter shscope ~unit_:"checkpoints"
-          ~doc:"warming checkpoints published under shard keys" "published";
-      c_sh_present =
-        Telemetry.counter shscope ~unit_:"checkpoints"
-          ~doc:"shard publications skipped: store already had the bytes"
-          "present";
-      mirror =
-        {
-          m_completed = 0;
-          m_failed = 0;
-          m_hits = 0;
-          m_misses = 0;
-          m_w_dispatched = 0;
-          m_w_executed = 0;
-          m_w_shared = 0;
-          m_w_failed = 0;
-          m_sh_published = 0;
-          m_sh_present = 0;
-        };
-    }
-  in
-  for i = 0 to domains - 1 do
-    t.workers.(i) <- Some (Domain.spawn (fun () -> worker_loop t))
-  done;
-  t
+  let q = Bor_exec.Sampled.queue ~workers:domains () in
+  {
+    mu = Mutex.create ();
+    cond = Condition.create ();
+    jobs = Hashtbl.create 64;
+    q;
+    wq = Wqueue.create ~queue:q ?store ();
+    stopping = false;
+    s_store = store;
+    s_domains = domains;
+    n_queued = 0;
+    n_submitted = 0;
+    n_joins = 0;
+    n_mem_hits = 0;
+    a_failed = Atomic.make 0;
+    a_cold = Atomic.make 0;
+    a_cached = Atomic.make 0;
+    a_busy = Atomic.make 0;
+    c_submitted =
+      counter scope "jobs" "submissions accepted (all dispositions)"
+        "jobs.submitted";
+    c_joins =
+      counter scope "jobs" "submissions that joined an in-flight job"
+        "dedup.joins";
+    h_queue_depth =
+      Telemetry.histogram scope ~unit_:"jobs"
+        ~doc:"queue depth observed at each submission" "queue.depth";
+    h_busy =
+      Telemetry.histogram scope ~unit_:"workers"
+        ~doc:"busy workers observed at each submission" "workers.busy";
+    (* Memory hits and store hits both count as serve.cache.hits; only
+       cold runs are misses. *)
+    mirrors =
+      [
+        mirror scope "jobs" "worker runs that returned Ok" "jobs.completed"
+          (fun t -> completed t);
+        mirror scope "jobs" "worker runs that returned an error" "jobs.failed"
+          (fun t -> Atomic.get t.a_failed);
+        mirror scope "jobs"
+          "submissions answered without a fresh run (memory or store)"
+          "cache.hits"
+          (fun t -> t.n_mem_hits + Atomic.get t.a_cached);
+        mirror scope "jobs" "jobs computed cold" "cache.misses" (fun t ->
+            Atomic.get t.a_cold);
+        mirror wscope "windows"
+          "window work units dispatched into the global queue" "dispatched"
+          (fun t -> Executor.dispatched t.q);
+        mirror wscope "windows"
+          "window work units executed (once each, however many jobs share \
+           them)"
+          "executed"
+          (fun t -> Executor.executed t.q);
+        mirror wscope "windows"
+          "dispatches answered by an existing work unit (cross-job shard \
+           sharing)"
+          "shared_shard_hits"
+          (fun t -> Executor.shared_hits t.q);
+        mirror wscope "windows"
+          "window executions that failed (fails the owning jobs only, never \
+           cached)"
+          "failed"
+          (fun t -> Executor.failed t.q);
+        mirror shscope "checkpoints"
+          "warming checkpoints published under shard keys" "published"
+          (fun t -> Wqueue.shards_published t.wq);
+        mirror shscope "checkpoints"
+          "shard publications skipped: store already had the bytes" "present"
+          (fun t -> Wqueue.shards_present t.wq);
+      ];
+  }
 
-(* Fold the worker-side atomics into the telemetry mirror. Memory hits
-   and store hits both count as serve.cache.hits; only cold runs are
-   misses. Owner domain only. *)
+(* Instruments belong to the domain that created the scheduler and are
+   only touched there (submit/stats run on that domain), never by
+   workers — instruments must not cross domains. Worker-side counts
+   reach them here, as deltas. *)
 let sync t =
-  let m = t.mirror in
-  let bump counter current stored =
-    if current > stored then Telemetry.add counter (current - stored);
-    current
-  in
-  m.m_completed <- bump t.c_completed (Atomic.get t.a_completed) m.m_completed;
-  m.m_failed <- bump t.c_failed (Atomic.get t.a_failed) m.m_failed;
-  m.m_hits <- bump t.c_hits (t.n_mem_hits + Atomic.get t.a_cached) m.m_hits;
-  m.m_misses <- bump t.c_misses (Atomic.get t.a_cold) m.m_misses;
-  m.m_w_dispatched <-
-    bump t.c_w_dispatched (Wqueue.dispatched t.wq) m.m_w_dispatched;
-  m.m_w_executed <- bump t.c_w_executed (Wqueue.executed t.wq) m.m_w_executed;
-  m.m_w_shared <- bump t.c_w_shared (Wqueue.shared_hits t.wq) m.m_w_shared;
-  m.m_w_failed <- bump t.c_w_failed (Wqueue.failed t.wq) m.m_w_failed;
-  m.m_sh_published <-
-    bump t.c_sh_published (Wqueue.shards_published t.wq) m.m_sh_published;
-  m.m_sh_present <-
-    bump t.c_sh_present (Wqueue.shards_present t.wq) m.m_sh_present
+  List.iter
+    (fun (counter, read, added) ->
+      let current = read t in
+      if current > !added then begin
+        Telemetry.add counter (current - !added);
+        added := current
+      end)
+    t.mirrors
 
 let submit t spec =
   let key = Bor_store.Key.hex (Job.key spec) in
@@ -251,7 +176,7 @@ let submit t spec =
   end;
   t.n_submitted <- t.n_submitted + 1;
   Telemetry.incr t.c_submitted;
-  Telemetry.observe t.h_queue_depth (Queue.length t.queue);
+  Telemetry.observe t.h_queue_depth t.n_queued;
   Telemetry.observe t.h_busy (Atomic.get t.a_busy);
   let disposition =
     match Hashtbl.find_opt t.jobs key with
@@ -263,9 +188,10 @@ let submit t spec =
         Telemetry.incr t.c_joins;
         `Joined
     | None ->
-        Hashtbl.add t.jobs key { e_spec = spec; e_state = Queued };
-        Queue.push key t.queue;
-        Condition.broadcast t.cond;
+        let entry = { e_spec = spec; e_state = Queued } in
+        Hashtbl.add t.jobs key entry;
+        t.n_queued <- t.n_queued + 1;
+        Executor.spawn t.q (run_job t key entry);
         `Queued
   in
   sync t;
@@ -296,38 +222,34 @@ let await t key =
       Mutex.unlock t.mu;
       Some outcome
 
-let store t = t.s_store
-let domains t = t.s_domains
-let wqueue t = t.wq
-
 let stats t =
   Mutex.lock t.mu;
   sync t;
   let base =
     [
       ("submitted", t.n_submitted);
-      ("completed", Atomic.get t.a_completed);
+      ("completed", completed t);
       ("failed", Atomic.get t.a_failed);
       ("cache_hits", t.n_mem_hits + Atomic.get t.a_cached);
       ("cache_misses", Atomic.get t.a_cold);
       ("dedup_joins", t.n_joins);
-      ("queue_depth", Queue.length t.queue);
+      ("queue_depth", t.n_queued);
       ("workers_busy", Atomic.get t.a_busy);
       ("workers", t.s_domains);
     ]
   in
   Mutex.unlock t.mu;
-  (* Window-queue depth/in-flight lock the shared monitor — read them
-     after releasing it (the counters themselves are atomics). *)
   let base =
     base
     @ [
-        ("windows_queued", Wqueue.depth t.wq);
-        ("windows_inflight", Wqueue.inflight_total t.wq);
-        ("windows_dispatched", Wqueue.dispatched t.wq);
-        ("windows_executed", Wqueue.executed t.wq);
-        ("windows_shared_shard_hits", Wqueue.shared_hits t.wq);
-        ("windows_failed", Wqueue.failed t.wq);
+        ("windows_queued", Executor.depth t.q);
+        ( "windows_inflight",
+          List.fold_left (fun n (_, k) -> n + k) 0
+            (Executor.inflight_by_owner t.q) );
+        ("windows_dispatched", Executor.dispatched t.q);
+        ("windows_executed", Executor.executed t.q);
+        ("windows_shared_shard_hits", Executor.shared_hits t.q);
+        ("windows_failed", Executor.failed t.q);
         ("shards_published", Wqueue.shards_published t.wq);
         ("shards_present", Wqueue.shards_present t.wq);
       ]
@@ -358,21 +280,11 @@ let metrics_text t =
     (fun (job, n) ->
       Buffer.add_string b
         (Printf.sprintf "bor_serve_job_inflight_windows{job=\"%s\"} %d\n" job n))
-    (Wqueue.inflight_by_job t.wq);
+    (Executor.inflight_by_owner t.q);
   Buffer.contents b
 
 let shutdown t =
   Mutex.lock t.mu;
-  let already = t.stopping in
   t.stopping <- true;
-  Condition.broadcast t.cond;
   Mutex.unlock t.mu;
-  if not already then
-    Array.iteri
-      (fun i d ->
-        match d with
-        | Some d ->
-            Domain.join d;
-            t.workers.(i) <- None
-        | None -> ())
-      t.workers
+  Executor.shutdown t.q

@@ -1,5 +1,5 @@
 (** The serve scheduler: a keyed job table in front of a long-lived
-    domain worker pool.
+    {!Bor_exec.Executor}.
 
     Every submission is addressed by its job's content key, which is
     what makes the three fast paths fall out of one table lookup:
@@ -8,25 +8,22 @@
       ([`Hit] — a warm resubmission never touches a worker);
     - the key is queued or running → the submission {e joins} the
       in-flight job ([`Joined]) and will observe the same bytes;
-    - otherwise the job is enqueued ([`Queued]) and a worker runs it
-      through {!Job.run}, where the content-addressed store (when
-      configured) supplies cross-process / cross-restart reuse.
+    - otherwise the job is enqueued ([`Queued]) as a job unit, and a
+      worker runs it through {!Job.run}, where the content-addressed
+      store (when configured) supplies cross-process / cross-restart
+      reuse.
 
     The payload bytes are identical on every path — cold, memory-hit,
     store-hit, dedup-join — per the determinism contract the
     digest-equality tests pin (docs/SERVE.md).
 
-    Sampled jobs do not fan their windows out privately: each worker
-    running a sampled job pushes its detailed windows into the global
-    {!Wqueue} shared by every job on this scheduler, and idle workers
-    pull window units in preference to starting new jobs. Identical
-    units from concurrent jobs (same program, config, plan, boundary)
-    execute once and are shared; the payloads stay byte-identical to
-    standalone runs at any worker count and any arrival interleaving
-    (the [serve.windows.*] / [serve.shards.*] telemetry families count
-    the traffic). A window execution failure fails only the jobs
-    waiting on that window — the scheduler and its workers keep
-    serving, and the failed unit is never cached.
+    Jobs and windows share the executor: a sampled job's windows go
+    through the global {!Wqueue}, so identical windows of concurrent
+    jobs execute once, and workers take window units before jobs. The
+    payloads stay byte-identical to standalone runs at any worker count
+    and any arrival interleaving ([serve.windows.*] / [serve.shards.*]
+    count the traffic); a failing window fails only the jobs waiting on
+    it.
 
     Counters live in atomics (workers update them from their own
     domains); {!stats} additionally mirrors them into the [serve.*]
@@ -46,7 +43,8 @@ type outcome = (string * [ `Cold | `Cached ], string) result
 type state = Queued | Running | Done of outcome
 
 val create : ?domains:int -> ?store:Bor_store.Store.t -> unit -> t
-(** Spawn [domains] worker domains (default 1; must be >= 1). *)
+(** Start an executor with [domains] worker domains (default 1; must
+    be >= 1). *)
 
 val submit : t -> Job.spec -> string * disposition
 (** Returns the job's key (64-char hex), which is also its job id.
@@ -57,12 +55,6 @@ val job_state : t -> string -> state option
 
 val await : t -> string -> outcome option
 (** Block until the keyed job completes. [None] for an unknown key. *)
-
-val store : t -> Bor_store.Store.t option
-val domains : t -> int
-
-val wqueue : t -> Wqueue.t
-(** The global window queue the scheduler's workers feed from. *)
 
 val stats : t -> (string * int) list
 (** Deterministically ordered counter snapshot: submissions, completions,

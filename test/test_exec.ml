@@ -1,12 +1,16 @@
 (* Tests for Bor_exec: the unified execution backends, versioned
    digest-stamped checkpoints (round trips, corruption and version
-   rejection — always [Error], never an exception) and domain-parallel
-   sampled simulation (statistics, telemetry and final architectural
-   state byte-identical at every domain count). *)
+   rejection — always [Error], never an exception), the one executor
+   (each case at 0 and 2 workers) and domain-parallel sampled
+   simulation (statistics, telemetry and final architectural state
+   byte-identical at every domain count, and the same [Error] for a
+   raising window under every executor). *)
 
 module Backend = Bor_exec.Backend
 module Checkpoint = Bor_exec.Checkpoint
 module Sampled = Bor_exec.Sampled
+module Executor = Bor_exec.Executor
+module Wqueue = Bor_serve.Wqueue
 module Pipeline = Bor_uarch.Pipeline
 module Machine = Bor_sim.Machine
 module Telemetry = Bor_telemetry.Telemetry
@@ -220,20 +224,6 @@ let snapshot_arch prog p =
       (Bytes.length prog.Bor_isa.Program.data)
       (fun i -> Bor_sim.Memory.read_byte mem (db + i)) )
 
-(* Registry snapshot as deterministic JSON text, with the
-   sampling.parallel.* family (present only in parallel runs, by
-   design) dropped so the rest can be compared across domain counts. *)
-let telemetry_without_parallel () =
-  match Telemetry.to_json () with
-  | Json.Obj fields ->
-    Json.to_string
-      (Json.Obj
-         (List.filter
-            (fun (n, _) ->
-              not (String.starts_with ~prefix:"sampling.parallel." n))
-            fields))
-  | j -> Json.to_string j
-
 let test_parallel_matches_sequential () =
   let prog = Lazy.force micro_prog in
   let plan = plan_exn "500:300:5000:3" in
@@ -242,25 +232,15 @@ let test_parallel_matches_sequential () =
     Telemetry.set_enabled true;
     match Sampled.run ~plan ~domains prog with
     | Error e -> Alcotest.fail e
-    | Ok (s, t) -> (s, telemetry_without_parallel (), snapshot_arch prog t)
+    | Ok (s, t) ->
+      (s, Json.to_string (Telemetry.to_json ()), snapshot_arch prog t)
   in
   let s1, tel1, a1 = run 1 in
-  check Alcotest.bool "sequential run registers no parallel counters" true
-    (Telemetry.find_counter "sampling.parallel.domains" = None);
   let s4, tel4, a4 = run 4 in
   check Alcotest.bool "4-domain stats = sequential stats" true (s1 = s4);
   check Alcotest.string "4-domain telemetry = sequential telemetry" tel1 tel4;
   check Alcotest.bool "4-domain final architectural state = sequential" true
     (a1 = a4);
-  check
-    Alcotest.(option int)
-    "parallel run reports its domain count" (Some 4)
-    (Telemetry.find_counter "sampling.parallel.domains");
-  (match Telemetry.find_counter "sampling.parallel.merge_checks" with
-  | Some n when n > 0 -> ()
-  | other ->
-    Alcotest.failf "merge_checks = %s"
-      (match other with Some n -> string_of_int n | None -> "absent"));
   let s3, tel3, a3 = run 3 in
   check Alcotest.bool "3-domain stats = sequential stats" true (s1 = s3);
   check Alcotest.string "3-domain telemetry = sequential telemetry" tel1 tel3;
@@ -268,6 +248,69 @@ let test_parallel_matches_sequential () =
     (a1 = a3);
   Telemetry.clear ();
   Telemetry.set_enabled false
+
+(* Runs 3000 loop iterations, then loads from an unmapped address: the
+   warming sweep itself faults near the end of the program. *)
+let faulting_prog =
+  lazy
+    (match
+       Bor_isa.Asm.assemble
+         "main: li t0, 3000\n\
+          loop: addi t1, t1, 1\n\
+          addi t0, t0, -1\n\
+          bne t0, zero, loop\n\
+          li t2, 0x7ffffff0\n\
+          lw t3, 0(t2)\n\
+          halt\n"
+     with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e.Bor_isa.Asm.message)
+
+(* A window that raises is delivered as the same [Error] entry by every
+   executor — inline, worker domains, the serve queue with or without
+   workers — and the run reports that error instead of raising or
+   blocking. When the sweep faults too, the sweep's error wins on every
+   executor: the sweep always warms to the end, whatever thread ran the
+   failing window first. *)
+let test_raising_window_same_error_everywhere () =
+  let plan = plan_exn "200:100:2000:7" in
+  let raising make ctx =
+    make
+      {
+        ctx with
+        Sampled.xc_window = (fun _ -> failwith "window exploded");
+      }
+  in
+  let run prog runner =
+    match Sampled.run_on ~plan ~runner (Pipeline.create prog) with
+    | Ok _ -> Alcotest.fail "a raising window reported success"
+    | Error e -> e
+  in
+  List.iter
+    (fun (prog, expected) ->
+      let prog = Lazy.force prog in
+      let inline = run prog (raising (Sampled.builtin_runner ~domains:1)) in
+      check Alcotest.bool ("inline error names " ^ expected) true
+        (contains inline expected);
+      check Alcotest.string "2 workers = inline" inline
+        (run prog (raising (Sampled.builtin_runner ~domains:2)));
+      List.iter
+        (fun workers ->
+          let q = Sampled.queue ~workers () in
+          let wq = Wqueue.create ~queue:q () in
+          check Alcotest.string
+            (Printf.sprintf "serve queue, %d workers = inline" workers)
+            inline
+            (run prog
+               (raising
+                  (Wqueue.runner wq ~job:"job"
+                     ~config:Bor_uarch.Config.default)));
+          Executor.shutdown q)
+        [ 0; 2 ])
+    [
+      (alu_prog, "window exploded");
+      (faulting_prog, "oracle fault at 0x101c: word read out of bounds");
+    ]
 
 let test_sampled_window_checkpoints_fresh_pipeline_only () =
   let prog = Lazy.force alu_prog in
@@ -280,6 +323,211 @@ let test_sampled_window_checkpoints_fresh_pipeline_only () =
   | Error e ->
     check Alcotest.bool "freshness named in diagnostic" true
       (contains e "freshly created")
+
+(* --------------------------------------------------------- executor *)
+
+let worker_counts = [ 0; 2 ]
+
+let test_map_preserves_order () =
+  List.iter
+    (fun workers ->
+      let out = Executor.map ~workers (fun i -> i * i) (Array.init 37 Fun.id) in
+      Array.iteri
+        (fun i v ->
+          check Alcotest.int
+            (Printf.sprintf "slot matches item at %d workers" workers)
+            (i * i) v)
+        out)
+    worker_counts
+
+let test_map_propagates_first_failure () =
+  List.iter
+    (fun workers ->
+      match
+        Executor.map ~workers
+          (fun i -> if i mod 5 = 3 then failwith (string_of_int i) else i)
+          (Array.init 16 Fun.id)
+      with
+      | _ -> Alcotest.fail "expected a propagated exception"
+      | exception Failure msg ->
+        (* Items 3, 8 and 13 fail; submission order pins which wins. *)
+        check Alcotest.string
+          (Printf.sprintf "earliest item's exception wins at %d workers"
+             workers)
+          "3" msg)
+    worker_counts
+
+let test_map_runs_init_per_domain () =
+  List.iter
+    (fun workers ->
+      let inits = Atomic.make 0 in
+      let out =
+        Executor.map ~workers
+          ~init:(fun () -> Atomic.incr inits)
+          (fun i -> i + 1)
+          (Array.init 12 Fun.id)
+      in
+      check Alcotest.int "all items mapped" 12 (Array.length out);
+      (* No workers: init runs once, in the calling domain. *)
+      check Alcotest.int
+        (Printf.sprintf "one init per domain at %d workers" workers)
+        (max 1 workers) (Atomic.get inits))
+    worker_counts
+
+let entry_ok sample =
+  {
+    Sampled.e_result =
+      Ok { Pipeline.w_sample = Some sample; w_detailed = 10; w_cycles = 20 };
+    e_tel = None;
+  }
+
+let never_stopped () = false
+
+(* One failing window unit fails only the owners waiting on it — other
+   units (and other owners) are untouched — and the failure is never
+   retained: an identical later dispatch recomputes. The failing unit
+   holds until owner b has joined it, so the sharing is the same with
+   workers racing the dispatches as without. *)
+let test_failure_isolated_never_cached () =
+  List.iter
+    (fun workers ->
+      let q = Sampled.queue ~workers () in
+      let got = ref [] and gm = Mutex.create () in
+      let deliver owner i (e : Sampled.window_entry) =
+        Mutex.protect gm (fun () ->
+            got := ((owner, i), Result.is_ok e.Sampled.e_result) :: !got)
+      in
+      let find owner i =
+        Mutex.protect gm (fun () -> List.assoc (owner, i) !got)
+      in
+      let joined = Atomic.make false in
+      let dispatch owner ~key ~exec i =
+        Executor.dispatch q ~owner ~key ~exec ~deliver:(deliver owner i)
+          ~stopped:never_stopped
+      in
+      dispatch "a" ~key:"boom" 0 ~exec:(fun () ->
+          while not (Atomic.get joined) do
+            Domain.cpu_relax ()
+          done;
+          failwith "window exploded");
+      (* Owner b shares the failing unit and also owns a healthy one. *)
+      dispatch "b" ~key:"boom" 5 ~exec:(fun () ->
+          Alcotest.fail "shared unit must not re-execute");
+      Atomic.set joined true;
+      dispatch "b" ~key:"fine" 6 ~exec:(fun () -> entry_ok (30, 10));
+      Executor.drain q ~owner:"a";
+      Executor.drain q ~owner:"b";
+      let label s = Printf.sprintf "%s at %d workers" s workers in
+      check Alcotest.bool (label "owner a window errored") false (find "a" 0);
+      check Alcotest.bool (label "owner b shared window errored") false
+        (find "b" 5);
+      check Alcotest.bool (label "owner b healthy window fine") true
+        (find "b" 6);
+      check Alcotest.int (label "failure counted once") 1 (Executor.failed q);
+      check Alcotest.int (label "two executions") 2 (Executor.executed q);
+      check Alcotest.int (label "b's boom dispatch was shared") 1
+        (Executor.shared_hits q);
+      (* Dropped, not cached: the same key recomputes. *)
+      dispatch "c" ~key:"boom" 0 ~exec:(fun () -> entry_ok (40, 10));
+      Executor.drain q ~owner:"c";
+      check Alcotest.bool (label "failed unit recomputed") true (find "c" 0);
+      check Alcotest.int (label "recompute executed") 3 (Executor.executed q);
+      (* A finished (successful) unit IS shared with later owners. *)
+      dispatch "d" ~key:"fine" 9 ~exec:(fun () ->
+          Alcotest.fail "finished unit must not re-execute");
+      Executor.drain q ~owner:"d";
+      check Alcotest.bool (label "finished unit shared") true (find "d" 9);
+      check Alcotest.int (label "no new execution") 3 (Executor.executed q);
+      Executor.shutdown q)
+    worker_counts
+
+(* A unit whose function raises reaches its owner as the queue's error
+   value; no worker dies of it (shutdown joins every one, and a dead
+   domain's join would re-raise), and the queue keeps serving. *)
+let test_raising_unit_delivered_as_error () =
+  List.iter
+    (fun workers ->
+      let q =
+        Executor.create ~workers
+          ~error:(fun e -> Error (Printexc.to_string e))
+          ~is_error:Result.is_error ()
+      in
+      let got = ref [] and gm = Mutex.create () in
+      let dispatch key exec =
+        Executor.dispatch q ~owner:"o" ~key ~exec
+          ~deliver:(fun v ->
+            Mutex.protect gm (fun () -> got := (key, v) :: !got))
+          ~stopped:never_stopped
+      in
+      for i = 1 to 4 do
+        dispatch (Printf.sprintf "raise-%d" i) (fun () ->
+            failwith "unit exploded")
+      done;
+      Executor.drain q ~owner:"o";
+      let label s = Printf.sprintf "%s at %d workers" s workers in
+      List.iter
+        (fun (key, v) ->
+          match v with
+          | Error m ->
+            check Alcotest.bool (label (key ^ " error names the exception"))
+              true (contains m "unit exploded")
+          | Ok () -> Alcotest.fail (label (key ^ " reported success")))
+        !got;
+      check Alcotest.int (label "every raising unit delivered") 4
+        (List.length !got);
+      got := [];
+      dispatch "later" (fun () -> Ok ());
+      Executor.drain q ~owner:"o";
+      check Alcotest.bool (label "later unit served") true
+        (!got = [ ("later", Ok ()) ]);
+      check Alcotest.int (label "failures counted") 4 (Executor.failed q);
+      Executor.shutdown q)
+    worker_counts
+
+(* Owners on three domains dispatch overlapping keys at once, each far
+   more than the in-flight bound (4 at these worker counts), so every
+   owner keeps blocking and helping. Every
+   dispatch is delivered exactly once with its key's value, every drain
+   returns, and each key executes once however the races fall. *)
+let test_concurrent_owners_share_units () =
+  List.iter
+    (fun workers ->
+      let q =
+        Executor.create ~workers ~error:(fun _ -> -1)
+          ~is_error:(fun v -> v < 0) ()
+      in
+      let owner o () =
+        let key i = ((i * 7) + o) mod 20 in
+        let got = Array.make 50 (-1) and deliveries = Atomic.make 0 in
+        for i = 0 to 49 do
+          Executor.dispatch q ~owner:(string_of_int o)
+            ~key:(string_of_int (key i))
+            ~exec:(fun () -> key i)
+            ~deliver:(fun v ->
+              got.(i) <- v;
+              Atomic.incr deliveries)
+            ~stopped:never_stopped
+        done;
+        Executor.drain q ~owner:(string_of_int o);
+        Atomic.get deliveries = 50
+        && Array.for_all Fun.id (Array.mapi (fun i v -> v = key i) got)
+      in
+      let ds = List.init 3 (fun o -> Domain.spawn (owner o)) in
+      let label s = Printf.sprintf "%s at %d workers" s workers in
+      List.iteri
+        (fun o d ->
+          check Alcotest.bool
+            (label (Printf.sprintf "owner %d got every value once" o))
+            true (Domain.join d))
+        ds;
+      check Alcotest.int (label "each key executed once") 20
+        (Executor.executed q);
+      check Alcotest.int (label "the other dispatches shared") 130
+        (Executor.shared_hits q);
+      check Alcotest.bool (label "nothing left in flight") true
+        (Executor.inflight_by_owner q = []);
+      Executor.shutdown q)
+    worker_counts
 
 (* --------------------------------------------------------- backends *)
 
@@ -330,8 +578,25 @@ let () =
         [
           Alcotest.test_case "parallel = sequential" `Quick
             test_parallel_matches_sequential;
+          Alcotest.test_case "raising window: same error on every executor"
+            `Quick test_raising_window_same_error_everywhere;
           Alcotest.test_case "requires fresh pipeline" `Quick
             test_sampled_window_checkpoints_fresh_pipeline_only;
+        ] );
+      ( "executor",
+        [
+          Alcotest.test_case "map preserves order" `Quick
+            test_map_preserves_order;
+          Alcotest.test_case "map propagates first failure" `Quick
+            test_map_propagates_first_failure;
+          Alcotest.test_case "map init per domain" `Quick
+            test_map_runs_init_per_domain;
+          Alcotest.test_case "failure isolated, never cached" `Quick
+            test_failure_isolated_never_cached;
+          Alcotest.test_case "raising unit delivered as error" `Quick
+            test_raising_unit_delivered_as_error;
+          Alcotest.test_case "concurrent owners share units" `Quick
+            test_concurrent_owners_share_units;
         ] );
       ( "backend",
         [ Alcotest.test_case "report kinds" `Quick test_backend_reports ] );

@@ -1,20 +1,16 @@
-(* Tests for Bor_serve: wire framing, the domain pool, job payload
-   determinism (cold runs, window-domain counts, cache and dedup-join
-   paths all byte-identical — the digest-equality contract of
-   docs/SERVE.md), scheduler dispositions and counters, and the
-   socket server end to end. *)
+(* Tests for Bor_serve: wire framing, job payload determinism (cold
+   runs, cache and dedup-join paths all byte-identical — the
+   digest-equality contract of docs/SERVE.md), scheduler dispositions
+   and counters, and the socket server end to end. The executor the
+   scheduler runs on is tested in test_exec.ml. *)
 
 module Wire = Bor_serve.Wire
-module Pool = Bor_serve.Pool
 module Job = Bor_serve.Job
-module Wqueue = Bor_serve.Wqueue
 module Scheduler = Bor_serve.Scheduler
 module Server = Bor_serve.Server
 module Client = Bor_serve.Client
 module Store = Bor_store.Store
 module Json = Bor_telemetry.Json
-module Sampled = Bor_exec.Sampled
-module Pipeline = Bor_uarch.Pipeline
 
 let check = Alcotest.check
 
@@ -104,36 +100,6 @@ let test_hex_roundtrip () =
   check Alcotest.bool "non-hex rejected" true
     (match Wire.of_hex "zz" with Error _ -> true | Ok _ -> false)
 
-(* -------------------------------------------------------------- pool *)
-
-let test_pool_preserves_order () =
-  let items = Array.init 37 (fun i -> i) in
-  let out = Pool.map ~domains:4 (fun i -> i * i) items in
-  Array.iteri (fun i v -> check Alcotest.int "slot matches item" (i * i) v) out
-
-let test_pool_propagates_first_failure () =
-  let items = Array.init 16 (fun i -> i) in
-  match
-    Pool.map ~domains:4
-      (fun i -> if i mod 5 = 3 then failwith (string_of_int i) else i)
-      items
-  with
-  | _ -> Alcotest.fail "expected a propagated exception"
-  | exception Failure msg ->
-    (* Items 3, 8 and 13 fail; submission order pins which wins. *)
-    check Alcotest.string "earliest item's exception wins" "3" msg
-
-let test_pool_runs_init_per_domain () =
-  let inits = Atomic.make 0 in
-  let out =
-    Pool.map ~domains:3
-      ~init:(fun () -> Atomic.incr inits)
-      (fun i -> i + 1)
-      (Array.init 12 (fun i -> i))
-  in
-  check Alcotest.int "all items mapped" 12 (Array.length out);
-  check Alcotest.int "one init per worker domain" 3 (Atomic.get inits)
-
 (* --------------------------------------------------------------- job *)
 
 let test_job_payload_deterministic () =
@@ -151,42 +117,17 @@ let test_job_payload_deterministic () =
       String.equal d (Bor_telemetry.Sha256.digest (Json.to_string t))
     | _ -> false)
 
-let test_job_payload_independent_of_window_domains () =
-  let plan = plan_exn "200:100:2000" in
-  let payload_at window_domains =
-    fst
-      (payload_exn
-         (Job.run
-            (Job.make ~plan ~window_domains ~backend:"sampled"
-               (Lazy.force alu_prog))))
-  in
-  check Alcotest.string
-    "sampled payload byte-identical at any window-domain count"
-    (payload_at 1) (payload_at 2)
-
-let test_job_key_ignores_window_domains () =
-  let k n =
-    Bor_store.Key.hex
-      (Job.key (Job.make ~window_domains:n ~backend:"detailed" (Lazy.force alu_prog)))
-  in
-  check Alcotest.string "window domains never alias the cache" (k 1) (k 4)
-
 let test_job_ci_target_all_paths_identical () =
   (* A ranked sampled job with a CI target: the standalone run, the
-     scheduler's cold path, a dedup join (submitted at a different
-     window-domain count, which the job id ignores) and a cross-restart
-     store hit must all produce the same payload bytes, and the payload
-     must record both knobs and the stop decision. *)
+     scheduler's cold path, a dedup join and a cross-restart store hit
+     must all produce the same payload bytes, and the payload must
+     record both knobs and the stop decision. *)
   let plan = plan_exn "200:100:2000:7" in
   let prog = Lazy.force alu_prog in
-  let spec wd =
-    Job.make ~plan ~window_domains:wd ~rank_bands:3 ~ci_target:5.
-      ~backend:"sampled" prog
+  let spec =
+    Job.make ~plan ~rank_bands:3 ~ci_target:5. ~backend:"sampled" prog
   in
-  let p_standalone, _ = payload_exn (Job.run (spec 1)) in
-  let p_wd2, _ = payload_exn (Job.run (spec 2)) in
-  check Alcotest.string "byte-identical at any window-domain count"
-    p_standalone p_wd2;
+  let p_standalone, _ = payload_exn (Job.run spec) in
   let j = Json.of_string p_standalone in
   check Alcotest.bool "payload records rank_bands" true
     (Json.member "rank_bands" j = Some (Json.Int 3));
@@ -204,9 +145,9 @@ let test_job_ci_target_all_paths_identical () =
   (* One worker busy on [slow]: the resubmission below is a
      deterministic dedup join. *)
   let _ = Scheduler.submit sched (Job.make ~backend:"detailed" (Lazy.force slow_prog)) in
-  let key, d1 = Scheduler.submit sched (spec 1) in
-  let key', d2 = Scheduler.submit sched (spec 2) in
-  check Alcotest.string "window domains never split the job id" key key';
+  let key, d1 = Scheduler.submit sched spec in
+  let key', d2 = Scheduler.submit sched spec in
+  check Alcotest.string "same spec, same job id" key key';
   check Alcotest.bool "first submission queued" true (d1 = `Queued);
   check Alcotest.bool "resubmission joined in flight" true (d2 = `Joined);
   let p_cold, src = payload_exn (Option.get (Scheduler.await sched key)) in
@@ -214,7 +155,7 @@ let test_job_ci_target_all_paths_identical () =
   check Alcotest.string "served cold bytes = standalone run" p_standalone p_cold;
   Scheduler.shutdown sched;
   let sched2 = Scheduler.create ~domains:1 ~store:(store_exn dir) () in
-  let key2, _ = Scheduler.submit sched2 (spec 1) in
+  let key2, _ = Scheduler.submit sched2 spec in
   let p_cached, src2 = payload_exn (Option.get (Scheduler.await sched2 key2)) in
   check Alcotest.bool "restart answered from the store" true (src2 = `Cached);
   check Alcotest.string "store bytes = standalone run" p_standalone p_cached;
@@ -234,63 +175,6 @@ let test_job_rejects_unknown_backend () =
   match Job.run (Job.make ~backend:"warp-drive" (Lazy.force alu_prog)) with
   | Error e -> check Alcotest.bool "names the backend" true (contains e "warp-drive")
   | Ok _ -> Alcotest.fail "unknown backend accepted"
-
-(* ------------------------------------------------------ window queue *)
-
-let entry_ok sample =
-  {
-    Sampled.e_result =
-      Ok { Pipeline.w_sample = Some sample; w_detailed = 10; w_cycles = 20 };
-    e_tel = None;
-  }
-
-let never_stopped () = false
-
-(* One failing window unit fails only the jobs waiting on it — other
-   units (and other jobs) are untouched — and the failure is never
-   retained: an identical later dispatch recomputes. *)
-let test_wqueue_failure_isolated_never_cached () =
-  let wq = Wqueue.create () in
-  let got : (string * int * bool) list ref = ref [] in
-  let deliver job i (e : Sampled.window_entry) =
-    got := (job, i, Result.is_ok e.Sampled.e_result) :: !got
-  in
-  Wqueue.dispatch wq ~job:"a" ~wu_key:"boom"
-    ~exec:(fun () -> failwith "window exploded")
-    ~index:0 ~deliver:(deliver "a") ~stopped:never_stopped;
-  (* Job b shares the failing unit and also owns a healthy one. *)
-  Wqueue.dispatch wq ~job:"b" ~wu_key:"boom"
-    ~exec:(fun () -> Alcotest.fail "shared unit must not re-execute")
-    ~index:5 ~deliver:(deliver "b") ~stopped:never_stopped;
-  Wqueue.dispatch wq ~job:"b" ~wu_key:"fine"
-    ~exec:(fun () -> entry_ok (30, 10))
-    ~index:6 ~deliver:(deliver "b") ~stopped:never_stopped;
-  Wqueue.drain wq ~job:"a";
-  Wqueue.drain wq ~job:"b";
-  let find job i = List.assoc (job, i) (List.map (fun (j, i, ok) -> ((j, i), ok)) !got) in
-  check Alcotest.bool "job a window errored" false (find "a" 0);
-  check Alcotest.bool "job b shared window errored" false (find "b" 5);
-  check Alcotest.bool "job b healthy window fine" true (find "b" 6);
-  check Alcotest.int "failure counted once" 1 (Wqueue.failed wq);
-  check Alcotest.int "two executions (boom once, fine once)" 2
-    (Wqueue.executed wq);
-  check Alcotest.int "b's boom dispatch was shared" 1 (Wqueue.shared_hits wq);
-  (* The failed unit was dropped, not cached: the same key recomputes
-     (this time successfully) instead of inheriting the error. *)
-  Wqueue.dispatch wq ~job:"c" ~wu_key:"boom"
-    ~exec:(fun () -> entry_ok (40, 10))
-    ~index:0 ~deliver:(deliver "c") ~stopped:never_stopped;
-  Wqueue.drain wq ~job:"c";
-  check Alcotest.bool "failed unit recomputed, not cached" true (find "c" 0);
-  check Alcotest.int "recompute executed" 3 (Wqueue.executed wq);
-  (* A finished (successful) unit IS shared with later jobs. *)
-  Wqueue.dispatch wq ~job:"d" ~wu_key:"fine"
-    ~exec:(fun () -> Alcotest.fail "finished unit must not re-execute")
-    ~index:9 ~deliver:(deliver "d") ~stopped:never_stopped;
-  Wqueue.drain wq ~job:"d";
-  check Alcotest.bool "finished unit shared" true (find "d" 9);
-  check Alcotest.int "no new execution for the finished unit" 3
-    (Wqueue.executed wq)
 
 (* --------------------------------------------------------- scheduler *)
 
@@ -477,6 +361,43 @@ let test_server_end_to_end () =
   | Error e -> Alcotest.fail e);
   check Alcotest.bool "socket file removed" false (Sys.file_exists socket)
 
+(* Clients built before the window_domains knob was removed still send
+   it. The server ignores unknown request fields, so such a frame is
+   accepted and names the same job as one without the field. *)
+let test_server_ignores_window_domains () =
+  let socket = fresh_path "bor-serve-sock-wd" in
+  let sched = Scheduler.create ~domains:1 () in
+  let ready = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Server.run ~socket ~on_ready:(fun () -> Atomic.set ready true) sched)
+  in
+  while not (Atomic.get ready) do
+    Domain.cpu_relax ()
+  done;
+  let prog = Lazy.force alu_prog in
+  let key_of req =
+    match Client.request ~socket req with
+    | Ok resp -> (
+      match (Json.member "ok" resp, Json.member "key" resp) with
+      | Some (Json.Bool true), Some (Json.String k) -> k
+      | _ -> Alcotest.fail ("submit refused: " ^ Json.to_string resp))
+    | Error e -> Alcotest.fail e
+  in
+  let plain =
+    Client.submit_request ~plan:"200:100:2000" ~backend:"sampled" prog
+  in
+  let legacy =
+    match plain with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("window_domains", Json.Int 4) ])
+    | j -> j
+  in
+  let k_legacy = key_of legacy in
+  check Alcotest.string "legacy frame names the same job" (key_of plain)
+    k_legacy;
+  ignore (Client.request ~socket Client.shutdown_request);
+  match Domain.join server with Ok () -> () | Error e -> Alcotest.fail e
+
 (* Two clients on two live connections, each submitting a sampled job
    and blocking in [result wait] while the other's windows share the
    queue: the concurrent-connection front end plus the window queue,
@@ -586,31 +507,14 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
           Alcotest.test_case "hex round trip" `Quick test_hex_roundtrip;
         ] );
-      ( "pool",
-        [
-          Alcotest.test_case "preserves order" `Quick test_pool_preserves_order;
-          Alcotest.test_case "propagates first failure" `Quick
-            test_pool_propagates_first_failure;
-          Alcotest.test_case "init per domain" `Quick
-            test_pool_runs_init_per_domain;
-        ] );
       ( "job",
         [
           Alcotest.test_case "payload deterministic" `Quick
             test_job_payload_deterministic;
-          Alcotest.test_case "payload independent of window domains" `Quick
-            test_job_payload_independent_of_window_domains;
-          Alcotest.test_case "key ignores window domains" `Quick
-            test_job_key_ignores_window_domains;
           Alcotest.test_case "ci-target job: all paths byte-identical" `Quick
             test_job_ci_target_all_paths_identical;
           Alcotest.test_case "rejects unknown backend" `Quick
             test_job_rejects_unknown_backend;
-        ] );
-      ( "wqueue",
-        [
-          Alcotest.test_case "failure isolated, never cached" `Quick
-            test_wqueue_failure_isolated_never_cached;
         ] );
       ( "scheduler",
         [
@@ -626,6 +530,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+          Alcotest.test_case "ignores legacy window_domains" `Quick
+            test_server_ignores_window_domains;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
         ] );
